@@ -25,7 +25,9 @@
 //!
 //! * cells without a suite template (self-compiling substrates) run
 //!   scalar;
-//! * ragged tails — the last `< 2` cells of a group — run scalar;
+//! * a group of one cell (or any cell at width 1) runs scalar; larger
+//!   groups are cut into near-equal stripes, so there is no one-cell
+//!   tail;
 //! * a run hitting its terminal event mid-stripe is *retired*: its lane
 //!   freezes (temporal history, violation trackers, step counter) while
 //!   the surviving lanes keep ticking, exactly as if each had run alone;
@@ -42,7 +44,7 @@
 use crate::context::{RunContext, RunTiming, SuiteProvenance};
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentError, RunReport};
 use crate::journal::{CellDelta, JournalRecord, SweepJournal};
-use crate::lanes::LaneAllocator;
+use crate::lanes::{plan_stripes, LaneAllocator};
 use crate::substrate::Substrate;
 use crate::sweep::{
     cell_seed, GuardedOutcome, Partial, Quarantine, Sweep, SweepAggregate, SweepReport, SweepStats,
@@ -69,15 +71,15 @@ enum Unit {
     Scalar(usize),
 }
 
-/// Partitions cells into stripes of up to `width` same-group cells plus
-/// scalar singles. Cells group when they share the same suite template,
-/// signal table, and scheduled duration (`Arc` identity — the family
-/// pattern); template-less cells and one-cell tails run scalar. `None`
-/// cells are planned into **no** unit — they are cells the caller is
-/// skipping (already checkpointed) or failed to build (quarantined
-/// separately by the guarded planner).
+/// Partitions cells into near-equal stripes of at most `width`
+/// same-group cells ([`plan_stripes`]) plus scalar singles. Cells group
+/// when they share the same suite template, signal table, and scheduled
+/// duration (`Arc` identity — the family pattern); template-less cells
+/// and one-cell stripes run scalar. `None` cells are planned into
+/// **no** unit — they are cells the caller is skipping (already
+/// checkpointed) or failed to build (quarantined separately by the
+/// guarded planner).
 fn plan_units<S: Substrate>(subs: &[Option<S>], width: usize) -> Vec<Unit> {
-    let width = width.max(1);
     let mut units = Vec::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut by_key: HashMap<(usize, usize, u64), usize> = HashMap::new();
@@ -99,13 +101,16 @@ fn plan_units<S: Substrate>(subs: &[Option<S>], width: usize) -> Vec<Unit> {
             }
         }
     }
-    for group in groups {
-        for chunk in group.chunks(width) {
-            if chunk.len() == 1 {
-                units.push(Unit::Scalar(chunk[0]));
-            } else {
-                units.push(Unit::Stripe(chunk.to_vec()));
-            }
+    // One worker: a sweep's plan depends on the grid and the width
+    // only, never on the machine's core count. A grid normally yields
+    // far more stripes than cores anyway.
+    let lens: Vec<usize> = groups.iter().map(Vec::len).collect();
+    for (g, range) in plan_stripes(&lens, width, 1) {
+        let chunk = &groups[g][range];
+        if chunk.len() == 1 {
+            units.push(Unit::Scalar(chunk[0]));
+        } else {
+            units.push(Unit::Stripe(chunk.to_vec()));
         }
     }
     units
@@ -139,7 +144,7 @@ fn built<S>(subs: &[Option<S>], i: usize) -> &S {
 }
 
 /// Runs one cell on the scalar experiment loop — the fallback for
-/// template-less cells, one-cell tails, and stripes that hit a
+/// template-less cells, one-cell stripes, and stripes that hit a
 /// monitoring error. `budget` is the quarantine's tick budget (always
 /// `None` on the unguarded paths), forwarded so fallback runs fail
 /// exactly where a guarded scalar run would.
@@ -869,6 +874,27 @@ mod tests {
     /// tick 50, slope 0.25 never.
     fn mixed_slopes() -> Vec<f64> {
         vec![2.0, 0.25, 1.0, 0.5, 3.0, 0.75, 1.5, 0.1, 2.5, 0.3, 4.0]
+    }
+
+    #[test]
+    fn plan_cuts_near_equal_stripes_and_keeps_the_mega_sweep_shape() {
+        let family = RampFamily::new();
+        let stripe_sizes = |cells: usize, width: usize| -> Vec<usize> {
+            let subs: Vec<Option<RampCell>> =
+                (0..cells).map(|_| Some(family.substrate(1.0))).collect();
+            plan_units(&subs, width)
+                .iter()
+                .map(|unit| match unit {
+                    Unit::Stripe(lanes) => lanes.len(),
+                    Unit::Scalar(_) => 1,
+                })
+                .collect()
+        };
+        // The mega-sweep's sample: 512 cells at width 128.
+        assert_eq!(stripe_sizes(512, 128), vec![128; 4]);
+        // A ragged group is cut evenly instead of leaving a one-cell tail.
+        assert_eq!(stripe_sizes(9, 8), vec![5, 4]);
+        assert_eq!(stripe_sizes(1, 8), vec![1]);
     }
 
     #[test]

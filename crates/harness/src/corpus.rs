@@ -51,8 +51,9 @@
 //! [`MonitorSuiteBatch::observe_slab`]: esafe_monitor::MonitorSuiteBatch::observe_slab
 
 use crate::context::RunContext;
+use crate::crc::{crc32, Crc32};
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentError, RunReport};
-use crate::journal::crc32;
+use crate::lanes::plan_stripes;
 use crate::substrate::Substrate;
 use crate::sweep::{AggregateBuilder, Sweep, SweepAggregate, SweepStats};
 use esafe_logic::corpus::{
@@ -162,14 +163,24 @@ fn io_err(context: &str, e: std::io::Error) -> CorpusError {
 /// Frames a record: `[len][crc][tag + body]`, same shape as the sweep
 /// journal's records.
 pub fn encode_corpus_record(tag: u8, body: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(body.len() + 9);
-    payload.push(tag);
-    payload.extend_from_slice(body);
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::with_capacity(body.len() + 9);
+    out.extend_from_slice(&frame_head(tag, body));
+    out.extend_from_slice(body);
     out
+}
+
+/// A record frame up to its body, `[len][crc][tag]`: the checksum runs
+/// over `[tag][body]` incrementally, so framing never copies the body.
+/// The caller bounds `body.len()` to the record budget.
+fn frame_head(tag: u8, body: &[u8]) -> [u8; 9] {
+    let mut crc = Crc32::new();
+    crc.update(&[tag]);
+    crc.update(body);
+    let mut head = [0u8; 9];
+    head[0..4].copy_from_slice(&((body.len() + 1) as u32).to_le_bytes());
+    head[4..8].copy_from_slice(&crc.finish().to_le_bytes());
+    head[8] = tag;
+    head
 }
 
 /// The outcome of decoding one record frame from a byte prefix.
@@ -342,11 +353,13 @@ impl TraceCorpusWriter {
                 body.len() + 1
             )));
         }
-        let frame = encode_corpus_record(tag, body);
+        // Head and body go straight into the buffered writer: a run
+        // record is about a megabyte, so no second copy of it is built.
         self.file
-            .write_all(&frame)
+            .write_all(&frame_head(tag, body))
+            .and_then(|()| self.file.write_all(body))
             .map_err(|e| io_err("append corpus record", e))?;
-        self.data_bytes += frame.len() as u64;
+        self.data_bytes += 9 + body.len() as u64;
         Ok(())
     }
 
@@ -946,10 +959,13 @@ impl TraceCorpusReader {
 
 // --- batched replay ----------------------------------------------------
 
-/// Default stripe width for corpus replay. Offline re-monitoring has
-/// no per-lane simulator state competing for cache, so wide stripes
-/// are strictly better: every fused DAG node decode amortizes over
-/// more lanes. Matches the mega-grid sweep's production width.
+/// Default stripe width cap for corpus replay. Offline re-monitoring
+/// has no per-lane simulator state competing for cache, so a wider
+/// stripe amortizes every fused DAG node decode over more lanes — but
+/// only while there are enough stripes to keep every worker busy. The
+/// planner therefore treats the width as a cap: a corpus smaller than
+/// `width × workers` runs is cut into one near-equal stripe per worker
+/// instead. Matches the mega-grid sweep's production width.
 pub const DEFAULT_REPLAY_WIDTH: usize = 128;
 
 /// The outcome of re-monitoring a corpus with a goal suite.
@@ -966,10 +982,11 @@ pub struct CorpusReplay {
 }
 
 /// Re-monitors every archived run with the goal suite `suite_for`
-/// builds, streaming stripes of up to `width` runs through the batched
-/// observer. `suite_for` is called once per (signal table, substrate
-/// name) group with the *reader-side* table — compile the suite
-/// against exactly that table.
+/// builds, streaming stripes of at most `width` runs through the
+/// batched observer, with at least one stripe per worker of the thread
+/// pool when the corpus has that many runs. `suite_for` is called once
+/// per (signal table, substrate name) group with the *reader-side*
+/// table — compile the suite against exactly that table.
 ///
 /// Lanes retire individually as their runs end, so a stripe may mix
 /// run lengths freely (ragged lanes); per-lane verdicts are identical
@@ -987,7 +1004,13 @@ pub fn replay_corpus<F>(
 where
     F: FnMut(&str, &Arc<SignalTable>) -> Result<esafe_monitor::MonitorSuite, CorpusError>,
 {
-    replay_inner(reader, width, suite_for, |_, _| {})
+    replay_inner(
+        reader,
+        width,
+        rayon::current_num_threads(),
+        suite_for,
+        |_, _| {},
+    )
 }
 
 /// [`replay_corpus`], additionally yielding each run's reconstructed
@@ -1006,9 +1029,13 @@ where
     F: FnMut(&str, &Arc<SignalTable>) -> Result<esafe_monitor::MonitorSuite, CorpusError>,
 {
     let mut reports: Vec<(usize, RunReport)> = Vec::with_capacity(reader.len());
-    let replay = replay_inner(reader, width, suite_for, |i, report| {
-        reports.push((i, report));
-    })?;
+    let replay = replay_inner(
+        reader,
+        width,
+        rayon::current_num_threads(),
+        suite_for,
+        |i, report| reports.push((i, report)),
+    )?;
     reports.sort_by_key(|(i, _)| *i);
     Ok((replay, reports.into_iter().map(|(_, r)| r).collect()))
 }
@@ -1016,6 +1043,7 @@ where
 fn replay_inner<F, G>(
     reader: &TraceCorpusReader,
     width: usize,
+    workers: usize,
     mut suite_for: F,
     mut sink: G,
 ) -> Result<CorpusReplay, CorpusError>
@@ -1044,14 +1072,15 @@ where
     // collected reports are re-sorted into corpus order before
     // aggregation, making the whole replay bit-deterministic.
     let mut templates = Vec::with_capacity(groups.len());
-    let mut stripes: Vec<(usize, Vec<usize>)> = Vec::new();
-    for ((table_ref, substrate), members) in groups {
+    for &((table_ref, substrate), _) in &groups {
         let table = reader.table(table_ref).expect("validated at open");
         templates.push((table, suite_for(substrate, table)?.template()));
-        for chunk in members.chunks(width) {
-            stripes.push((templates.len() - 1, chunk.to_vec()));
-        }
     }
+    let lens: Vec<usize> = groups.iter().map(|(_, members)| members.len()).collect();
+    let stripes: Vec<(usize, Vec<usize>)> = plan_stripes(&lens, width, workers)
+        .into_iter()
+        .map(|(group, range)| (group, groups[group].1[range].to_vec()))
+        .collect();
     let outcomes: Vec<Result<Vec<(usize, RunReport)>, CorpusError>> = stripes
         .into_par_iter()
         .map(|(group, chunk)| {
@@ -1277,6 +1306,66 @@ mod tests {
     }
 
     #[test]
+    fn streamed_appends_write_the_encoded_frames() {
+        let dir = temp_dir("frames");
+        let mut w = TraceCorpusWriter::create(&dir, ExperimentConfig::default()).unwrap();
+        let bodies: [(u8, Vec<u8>); 3] = [
+            (TAG_SYMS, Vec::new()),
+            (TAG_TABLE, b"x".to_vec()),
+            (
+                TAG_RUN,
+                (0..5000u32).map(|i| (i * 31 % 251) as u8).collect(),
+            ),
+        ];
+        let mut expected = encode_corpus_header(ExperimentConfig::default()).to_vec();
+        for (tag, body) in &bodies {
+            w.append_record(*tag, body).unwrap();
+            let frame = encode_corpus_record(*tag, body);
+            // The frame layout is pinned independently of the framing
+            // helper: length, CRC of the whole payload, then the payload.
+            let mut payload = vec![*tag];
+            payload.extend_from_slice(body);
+            assert_eq!(frame[0..4], (payload.len() as u32).to_le_bytes());
+            assert_eq!(frame[4..8], crc32(&payload).to_le_bytes());
+            assert_eq!(frame[8..], payload[..]);
+            expected.extend_from_slice(&frame);
+        }
+        assert_eq!(w.data_bytes(), expected.len() as u64);
+        w.finish().unwrap();
+        assert_eq!(std::fs::read(dir.join(CORPUS_DATA_FILE)).unwrap(), expected);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn run_metadata_ending_past_u64_milliseconds_fails_open() {
+        use esafe_logic::corpus::put_varint;
+
+        let dir = temp_dir("dt-overflow");
+        let table = table();
+        let mut w = TraceCorpusWriter::create(&dir, ExperimentConfig::default()).unwrap();
+        w.append_trace(&trace_over(&table, 3, 0), "toy", "ok", false, None)
+            .unwrap();
+        // A checksum-valid run record whose last tick would sit at
+        // (2^24 - 1) × 2^41 ms — past u64.
+        let mut body = Vec::new();
+        put_varint(&mut body, 0);
+        for text in ["toy", "hostile"] {
+            put_varint(&mut body, text.len() as u64);
+            body.extend_from_slice(text.as_bytes());
+        }
+        put_varint(&mut body, 1 << 41);
+        put_varint(&mut body, esafe_logic::corpus::MAX_RUN_TICKS);
+        body.extend_from_slice(&[0, 0]);
+        w.append_record(TAG_RUN, &body).unwrap();
+        w.finish().unwrap();
+        match TraceCorpusReader::open(&dir) {
+            Err(CorpusError::Corrupt(msg)) => assert!(msg.contains("malformed run metadata")),
+            other => panic!("expected a typed corruption error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn replay_matches_scalar_replay_per_run() {
         use esafe_monitor::{Location, MonitorSuite};
 
@@ -1327,6 +1416,45 @@ mod tests {
                 agg.absorb(report);
             }
             assert_eq!(agg.finish(), replay.aggregate);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn split_plan_replay_matches_width_one_replay_run_by_run() {
+        use esafe_monitor::{Location, MonitorSuite};
+
+        let dir = temp_dir("replay-split");
+        write_corpus(&dir, &[7, 13, 9]);
+        let r = TraceCorpusReader::open(&dir).unwrap();
+        let build = |_: &str, table: &Arc<SignalTable>| {
+            let mut suite = MonitorSuite::new(Arc::clone(table));
+            suite
+                .add_goal(
+                    "G1",
+                    Location::new("toy"),
+                    esafe_logic::parse("always(x < 3.0 || p)").unwrap(),
+                )
+                .unwrap();
+            Ok(suite)
+        };
+        let collect = |width: usize, workers: usize| {
+            let mut reports = Vec::new();
+            let replay = replay_inner(&r, width, workers, build, |i, report| {
+                reports.push((i, report))
+            })
+            .unwrap();
+            (replay, reports)
+        };
+        // Three runs at width 128 on three workers: one stripe each.
+        assert_eq!(plan_stripes(&[3], 128, 3).len(), 3);
+        let reference = collect(1, 1);
+        assert!(reference
+            .1
+            .iter()
+            .any(|(_, rep)| !rep.violations.is_empty()));
+        for workers in [2, 3] {
+            assert_eq!(collect(128, workers), reference, "{workers} workers");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -101,6 +101,7 @@
 pub mod batch;
 pub mod context;
 pub mod corpus;
+mod crc;
 pub mod experiment;
 pub mod journal;
 pub mod lanes;

@@ -339,6 +339,9 @@ fn read_meta(cur: &mut Cur<'_>) -> Option<RunMeta> {
     if ticks > MAX_RUN_TICKS {
         return None;
     }
+    // A run's last tick must sit at a representable millisecond time:
+    // replay reports it as `(ticks - 1) × dt_millis`.
+    ticks.saturating_sub(1).checked_mul(dt_millis)?;
     let terminated_early = match cur.u8()? {
         0 => false,
         1 => true,
@@ -1049,5 +1052,27 @@ mod tests {
             },
         );
         assert!(decode_run_meta(&out).is_none());
+    }
+
+    #[test]
+    fn run_end_times_past_u64_milliseconds_are_rejected() {
+        let encoded = |dt_millis: u64, ticks: u64| {
+            let mut out = Vec::new();
+            put_meta(
+                &mut out,
+                &RunMeta {
+                    dt_millis,
+                    ticks,
+                    ..meta(0)
+                },
+            );
+            out
+        };
+        let last = u64::MAX / (MAX_RUN_TICKS - 1);
+        assert!(decode_run_meta(&encoded(last, MAX_RUN_TICKS)).is_some());
+        assert!(decode_run_meta(&encoded(last + 1, MAX_RUN_TICKS)).is_none());
+        assert!(decode_run_meta(&encoded(1 << 41, MAX_RUN_TICKS)).is_none());
+        // One tick ends at time zero whatever the period.
+        assert!(decode_run_meta(&encoded(u64::MAX, 1)).is_some());
     }
 }
