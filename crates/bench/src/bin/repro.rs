@@ -392,8 +392,9 @@ fn print_mega_grid(cli: &Cli) {
 }
 
 /// Records a grid or mega-grid cell prefix into a fresh on-disk trace
-/// corpus: every run executes serially with frame recording on, its
-/// columns archived as it finishes, and the commit manifest published
+/// corpus: runs execute on every core with their observed frames
+/// streamed into column encoders, each is archived in cell order as
+/// soon as every earlier cell is, and the commit manifest is published
 /// atomically at the end. With `--json`, writes the schema-v7
 /// `corpus-record` summary.
 fn print_record_corpus(dir: &str, mega: bool, subset: Option<usize>, json_path: Option<&str>) {

@@ -60,7 +60,7 @@ pub fn ablation(scenario: u8) -> Vec<(String, Vec<String>)> {
         .zip(&sweep.runs)
         .map(|(cell, run)| {
             let ids = run.violations.iter().map(|(id, _)| id.clone()).collect();
-            (cell.config.clone(), ids)
+            (cell.config.to_string(), ids)
         })
         .collect()
 }

@@ -22,7 +22,7 @@
 //!                            1 = signal table   (esafe_logic::corpus::encode_table)
 //!                            2 = symbol block   (encode_sym_block; flushed *before*
 //!                                                the run that introduced the symbols)
-//!                            3 = archived run   (encode_run: metadata + one
+//!                            3 = archived run   (RunEncoder::encode: metadata + one
 //!                                                contiguous encoded column per signal)
 //! MANIFEST.bin    commit marker, written atomically at finish(): the
 //!                 committed data length, run/tick/dictionary/table
@@ -50,15 +50,15 @@
 //!
 //! [`MonitorSuiteBatch::observe_slab`]: esafe_monitor::MonitorSuiteBatch::observe_slab
 
-use crate::context::RunContext;
+use crate::context::{RunContext, RunTiming};
 use crate::crc::{crc32, Crc32};
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentError, RunReport};
 use crate::lanes::plan_stripes;
 use crate::substrate::Substrate;
 use crate::sweep::{AggregateBuilder, Sweep, SweepAggregate, SweepStats};
 use esafe_logic::corpus::{
-    decode_run_meta, decode_run_trace, decode_sym_block, decode_table, encode_run,
-    encode_sym_block, encode_table, RunDecoder, RunMeta, SymDict,
+    decode_run_meta, decode_run_trace, decode_sym_block, decode_table, encode_sym_block,
+    encode_table, RunDecoder, RunEncoder, RunMeta, SymDict,
 };
 use esafe_logic::{FrameBatch, FrameTrace, SignalTable};
 use rayon::prelude::*;
@@ -66,7 +66,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Magic bytes opening every corpus data file.
 pub const CORPUS_MAGIC: [u8; 8] = *b"ESAFECRP";
@@ -372,9 +372,9 @@ impl TraceCorpusWriter {
         Ok((self.tables.len() - 1) as u32)
     }
 
-    /// Archives one recorded trace with its run metadata. New symbols
-    /// are flushed as a dictionary block *before* the run record, so a
-    /// front-to-back reader always holds every id a run references.
+    /// Archives one recorded trace with its run metadata — the
+    /// [`RunEncoder`] of the trace, appended by
+    /// [`append_encoded`](TraceCorpusWriter::append_encoded).
     ///
     /// # Errors
     ///
@@ -387,18 +387,45 @@ impl TraceCorpusWriter {
         terminated_early: bool,
         terminal_event: Option<&str>,
     ) -> Result<(), CorpusError> {
-        let table_ref = self.table_ref(trace.table())?;
+        self.append_encoded(
+            &RunEncoder::from_trace(trace),
+            trace.tick_millis(),
+            substrate,
+            label,
+            terminated_early,
+            terminal_event,
+        )
+    }
+
+    /// Archives one run streamed into a [`RunEncoder`] at `dt_millis`
+    /// per tick. The run's symbols are interned here, so new ones are
+    /// flushed as a dictionary block *before* the run record and a
+    /// front-to-back reader always holds every id a run references.
+    ///
+    /// # Errors
+    ///
+    /// Fails on I/O failure or an oversized record.
+    pub fn append_encoded(
+        &mut self,
+        run: &RunEncoder,
+        dt_millis: u64,
+        substrate: &str,
+        label: &str,
+        terminated_early: bool,
+        terminal_event: Option<&str>,
+    ) -> Result<(), CorpusError> {
+        let table_ref = self.table_ref(run.table())?;
         let meta = RunMeta {
             table_ref,
             substrate: substrate.to_owned(),
             label: label.to_owned(),
-            dt_millis: trace.tick_millis(),
-            ticks: trace.len() as u64,
+            dt_millis,
+            ticks: run.len() as u64,
             terminated_early,
             terminal_event: terminal_event.map(str::to_owned),
         };
         let watermark = self.dict.len();
-        let body = encode_run(trace, &meta, &mut self.dict);
+        let body = run.encode(&meta, &mut self.dict);
         if self.dict.len() > watermark {
             let block = encode_sym_block(self.dict.texts_from(watermark));
             self.append_record(TAG_SYMS, &block)?;
@@ -486,18 +513,140 @@ impl TraceCorpusWriter {
 
 // --- recording sink on Sweep -------------------------------------------
 
+/// One recorded cell awaiting its commit: the run's report (no trace),
+/// its timing, and its streamed columns.
+type RecordedCell = (RunReport, RunTiming, RunEncoder);
+
+/// The shared state of [`commit_in_order`].
+struct OrderedCommits<R, E> {
+    /// The next job index to hand out.
+    claimed: usize,
+    /// The next job index to commit; every job below it is committed.
+    committed: usize,
+    /// Finished, uncommitted outcomes, job `i` in slot `i % slots.len()`
+    /// (the in-flight bound keeps live jobs in distinct slots).
+    slots: Vec<Option<Result<R, E>>>,
+    /// Whether a worker is committing (the commit token).
+    committing: bool,
+    /// Set by the first failure in job order, or by a panicking
+    /// worker: nothing more is claimed or committed.
+    stopped: bool,
+    failure: Option<E>,
+}
+
+/// Stops the other workers if this one unwinds, so they exit instead
+/// of waiting for a commit that never comes; the scope then re-raises
+/// the panic.
+struct StopOnUnwind<'a, R, E>(&'a Mutex<OrderedCommits<R, E>>, &'a Condvar);
+
+impl<R, E> Drop for StopOnUnwind<'_, R, E> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut state = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            state.stopped = true;
+            self.1.notify_all();
+        }
+    }
+}
+
+/// Runs jobs `0..jobs` on `workers` threads (each with its own pooled
+/// [`RunContext`]) and hands their results to `commit` strictly in job
+/// order: whichever worker finishes the next job to commit commits it,
+/// then every later job already finished. At most `in_flight` jobs are
+/// claimed but uncommitted at once, which bounds the memory held by
+/// finished results.
+///
+/// A failing job stops the sweep as the serial loop would: jobs before
+/// it are committed, its error is returned, and no later job is.
+fn commit_in_order<R: Send, E: Send>(
+    jobs: usize,
+    workers: usize,
+    in_flight: usize,
+    run: impl Fn(&mut RunContext, usize) -> Result<R, E> + Sync,
+    commit: impl FnMut(R) -> Result<(), E> + Send,
+) -> Result<(), E> {
+    assert!(workers > 0 && in_flight > 0, "need a worker and a slot");
+    let state = Mutex::new(OrderedCommits {
+        claimed: 0,
+        committed: 0,
+        slots: (0..in_flight).map(|_| None).collect(),
+        committing: false,
+        stopped: false,
+        failure: None,
+    });
+    let progress = Condvar::new();
+    let commit = Mutex::new(commit);
+    let lock = || state.lock().expect("commit state poisoned");
+    let worker = || {
+        let _guard = StopOnUnwind(&state, &progress);
+        let mut ctx = RunContext::new();
+        loop {
+            let index = {
+                let mut st = lock();
+                while !st.stopped && st.claimed < jobs && st.claimed >= st.committed + in_flight {
+                    st = progress.wait(st).expect("commit state poisoned");
+                }
+                if st.stopped || st.claimed >= jobs {
+                    return;
+                }
+                st.claimed += 1;
+                st.claimed - 1
+            };
+            let outcome = run(&mut ctx, index);
+            let mut st = lock();
+            st.slots[index % in_flight] = Some(outcome);
+            if st.committing {
+                continue;
+            }
+            st.committing = true;
+            while !st.stopped {
+                let slot = st.committed % in_flight;
+                let Some(outcome) = st.slots[slot].take() else {
+                    break;
+                };
+                drop(st);
+                let result = outcome.and_then(|r| (commit.lock().expect("commit poisoned"))(r));
+                st = lock();
+                match result {
+                    Ok(()) => st.committed += 1,
+                    Err(e) => {
+                        st.failure = Some(e);
+                        st.stopped = true;
+                    }
+                }
+                progress.notify_all();
+            }
+            st.committing = false;
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(worker);
+        }
+    });
+    let state = state.into_inner().expect("commit state poisoned");
+    match state.failure {
+        Some(e) => Err(e),
+        None => {
+            debug_assert_eq!(state.committed, jobs);
+            Ok(())
+        }
+    }
+}
+
 impl<C: Sync> Sweep<C> {
-    /// Runs every cell serially with frame recording on, archiving each
-    /// run into `writer` as it finishes and streaming the same
-    /// aggregate a plain sweep would produce. The corpus ends up in
-    /// cell order; the aggregate is order-independent either way.
+    /// Runs every cell with its observed frames streamed into a
+    /// [`RunEncoder`], archiving each run into `writer` and streaming
+    /// the same aggregate a plain sweep would produce. Cells run on one
+    /// worker per available core and are committed in cell order, so
+    /// the corpus is byte-identical whatever the core count.
     ///
     /// # Errors
     ///
     /// Fails if the writer's pinned timing policy differs from the
-    /// sweep's, on the first failing cell, or on corpus I/O failure.
-    /// Cells already archived stay in the corpus (it remains
-    /// recoverable).
+    /// sweep's, on the first failing cell by cell order, or on corpus
+    /// I/O failure. Cells before the failing one stay in the corpus (it
+    /// remains recoverable); later ones are never appended.
     pub fn run_aggregate_recorded<S, F>(
         &self,
         build: F,
@@ -505,7 +654,23 @@ impl<C: Sync> Sweep<C> {
     ) -> Result<(SweepAggregate, SweepStats), CorpusError>
     where
         S: Substrate,
-        F: Fn(&C, u64) -> S,
+        F: Fn(&C, u64) -> S + Sync,
+    {
+        let workers = rayon::current_num_threads().min(self.cells.len()).max(1);
+        self.run_aggregate_recorded_on(workers, build, writer)
+    }
+
+    /// [`Sweep::run_aggregate_recorded`] on exactly `workers` threads,
+    /// with at most two uncommitted cells per worker.
+    fn run_aggregate_recorded_on<S, F>(
+        &self,
+        workers: usize,
+        build: F,
+        writer: &mut TraceCorpusWriter,
+    ) -> Result<(SweepAggregate, SweepStats), CorpusError>
+    where
+        S: Substrate,
+        F: Fn(&C, u64) -> S + Sync,
     {
         if writer.config() != self.config {
             return Err(CorpusError::Header(format!(
@@ -514,20 +679,51 @@ impl<C: Sync> Sweep<C> {
                 writer.config()
             )));
         }
-        let mut ctx = RunContext::new();
         let mut agg = AggregateBuilder::new();
         let mut stats = SweepStats::default();
-        for (index, cell) in self.cells.iter().enumerate() {
-            let substrate = build(cell, crate::sweep::cell_seed(self.base_seed, index));
-            let (report, timing) = Experiment::new(&substrate)
-                .with_config(self.config)
-                .with_frame_recording(true)
-                .run_in(&mut ctx)?;
-            stats.absorb(timing);
-            writer.append_run(&report)?;
-            agg.absorb(&report);
-        }
+        commit_in_order(
+            self.cells.len(),
+            workers,
+            2 * workers,
+            |ctx, index| self.record_cell(ctx, index, &build),
+            |(report, timing, run): RecordedCell| {
+                writer.append_encoded(
+                    &run,
+                    report.dt_millis,
+                    &report.substrate,
+                    &report.label,
+                    report.terminated_early,
+                    report.terminal_event.as_deref(),
+                )?;
+                stats.absorb(timing);
+                agg.absorb(&report);
+                Ok(())
+            },
+        )?;
         Ok((agg.finish(), stats))
+    }
+
+    /// Runs cell `index` with its observed frames streamed into a
+    /// [`RunEncoder`] (frame recording off: no trace is built).
+    fn record_cell<S, F>(
+        &self,
+        ctx: &mut RunContext,
+        index: usize,
+        build: &F,
+    ) -> Result<RecordedCell, CorpusError>
+    where
+        S: Substrate,
+        F: Fn(&C, u64) -> S,
+    {
+        let substrate = build(
+            &self.cells[index],
+            crate::sweep::cell_seed(self.base_seed, index),
+        );
+        let mut run = RunEncoder::new(substrate.signal_table());
+        let (report, timing) = Experiment::new(&substrate)
+            .with_config(self.config)
+            .run_in_with(ctx, |_, _, observed| run.push(observed))?;
+        Ok((report, timing, run))
     }
 
     /// The **live reference** for corpus replay: runs every cell with
@@ -1184,7 +1380,7 @@ fn replay_stripe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esafe_logic::Value;
+    use esafe_logic::{Frame, SignalId, Value};
 
     fn temp_dir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1457,5 +1653,270 @@ mod tests {
             assert_eq!(collect(128, workers), reference, "{workers} workers");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Runs `jobs` jobs through [`commit_in_order`] on `workers`
+    /// threads, job `fail` (if any) failing. With two or more workers
+    /// the interleaving is forced: job 0 holds until the in-flight
+    /// bound is full, and every job `i ≡ 0 (mod 3)` up to `fail` holds
+    /// until job `i + 1` has finished, so results arrive out of order
+    /// and the failing job finishes after a later one. Returns the
+    /// committed job order, the outcome, the most jobs ever started
+    /// but uncommitted, and which jobs finished.
+    fn ordered_commits(
+        jobs: usize,
+        workers: usize,
+        fail: Option<usize>,
+    ) -> (Vec<usize>, Result<(), usize>, usize, Vec<bool>) {
+        struct Progress {
+            live: usize,
+            peak: usize,
+            finished: Vec<bool>,
+        }
+        let progress = Mutex::new(Progress {
+            live: 0,
+            peak: 0,
+            finished: vec![false; jobs],
+        });
+        let changed = Condvar::new();
+        let hold_until = |ready: &dyn Fn(&Progress) -> bool| {
+            let (guard, timeout) = changed
+                .wait_timeout_while(
+                    progress.lock().unwrap(),
+                    std::time::Duration::from_secs(30),
+                    |p| !ready(p),
+                )
+                .unwrap();
+            drop(guard);
+            assert!(
+                !timeout.timed_out(),
+                "the forced interleaving never happened"
+            );
+        };
+        let full = (2 * workers).min(jobs);
+        let mut committed = Vec::new();
+        let outcome = commit_in_order(
+            jobs,
+            workers,
+            2 * workers,
+            |_, i| {
+                {
+                    let mut p = progress.lock().unwrap();
+                    p.live += 1;
+                    p.peak = p.peak.max(p.live);
+                    changed.notify_all();
+                }
+                if workers > 1 {
+                    if i == 0 {
+                        hold_until(&|p| p.live >= full);
+                    }
+                    if i % 3 == 0 && i + 1 < jobs && fail.is_none_or(|f| i <= f) {
+                        hold_until(&|p| p.finished[i + 1]);
+                    }
+                }
+                progress.lock().unwrap().finished[i] = true;
+                changed.notify_all();
+                if Some(i) == fail {
+                    Err(i)
+                } else {
+                    Ok(i)
+                }
+            },
+            |i| {
+                committed.push(i);
+                progress.lock().unwrap().live -= 1;
+                Ok(())
+            },
+        );
+        let p = progress.into_inner().unwrap();
+        (committed, outcome, p.peak, p.finished)
+    }
+
+    #[test]
+    fn ordered_commits_arrive_in_job_order_within_the_in_flight_bound() {
+        for workers in 1..=4 {
+            let (committed, outcome, peak, _) = ordered_commits(40, workers, None);
+            assert_eq!(outcome, Ok(()));
+            assert_eq!(committed, (0..40).collect::<Vec<_>>(), "{workers} workers");
+            assert!(
+                peak <= 2 * workers,
+                "{workers} workers held {peak} uncommitted jobs"
+            );
+        }
+        let (committed, outcome, peak, _) = ordered_commits(0, 3, None);
+        assert_eq!((committed, outcome, peak), (Vec::new(), Ok(()), 0));
+    }
+
+    #[test]
+    fn a_failing_job_commits_every_earlier_job_and_no_later_one() {
+        for workers in 1..=4 {
+            for fail in [0, 12, 27, 29] {
+                let (committed, outcome, _, finished) = ordered_commits(30, workers, Some(fail));
+                assert_eq!(outcome, Err(fail), "{workers} workers");
+                assert_eq!(
+                    committed,
+                    (0..fail).collect::<Vec<_>>(),
+                    "{workers} workers"
+                );
+                if workers > 1 && fail + 1 < 30 {
+                    assert!(
+                        finished[fail + 1],
+                        "job {} ran but was not committed",
+                        fail + 1
+                    );
+                }
+            }
+        }
+    }
+
+    /// The recorder substrate: a ramp at a per-cell rate, with a
+    /// blinking flag and a two-symbol command, over one table shared by
+    /// every cell. A `broken` cell's goal reads a signal nothing sets,
+    /// so its run fails with an error naming the cell.
+    struct Wave {
+        ids: [SignalId; 3],
+        rate: f64,
+    }
+
+    impl esafe_sim::Subsystem for Wave {
+        fn name(&self) -> &str {
+            "wave"
+        }
+        fn step(&mut self, t: &esafe_sim::SimTime, prev: &Frame, next: &mut Frame) {
+            let [p, x, cmd] = self.ids;
+            let v = prev.real_or(x, 0.0) + self.rate;
+            next.set(x, v);
+            next.set(p, !t.tick.is_multiple_of(4));
+            next.set(cmd, Value::sym(if v < 2.0 { "rec-go" } else { "rec-stop" }));
+        }
+    }
+
+    struct WaveSubstrate {
+        table: Arc<SignalTable>,
+        ids: [SignalId; 3],
+        rate: f64,
+        ticks: u64,
+        label: String,
+        broken: bool,
+    }
+
+    impl Substrate for WaveSubstrate {
+        fn name(&self) -> &str {
+            "wave"
+        }
+        fn label(&self) -> String {
+            self.label.clone()
+        }
+        fn duration_ms(&self) -> u64 {
+            self.ticks
+        }
+        fn signal_table(&self) -> &Arc<SignalTable> {
+            &self.table
+        }
+        fn build_simulator(&self) -> esafe_sim::Simulator {
+            let mut sim = esafe_sim::Simulator::new(1, &self.table);
+            sim.add(Wave {
+                ids: self.ids,
+                rate: self.rate,
+            });
+            sim
+        }
+        fn build_monitors(&self) -> Result<esafe_monitor::MonitorSuite, esafe_logic::EvalError> {
+            let formula = if self.broken {
+                "ghost < 3.0"
+            } else {
+                "x < 2.5 || p"
+            };
+            let mut suite = esafe_monitor::MonitorSuite::new(Arc::clone(&self.table));
+            suite.add_goal(
+                self.label.clone(),
+                esafe_monitor::Location::new("wave"),
+                esafe_logic::parse(formula).expect("valid formula"),
+            )?;
+            Ok(suite)
+        }
+    }
+
+    /// A cell builder over one shared table; cell `broken` fails.
+    fn wave_cells(broken: Option<u64>) -> impl Fn(&u64, u64) -> WaveSubstrate + Sync {
+        let mut b = SignalTable::builder();
+        let ids = [b.bool("p"), b.real("x"), b.sym("cmd")];
+        b.real("ghost");
+        let table = b.finish();
+        move |&cell, seed| WaveSubstrate {
+            table: Arc::clone(&table),
+            ids,
+            rate: 0.01 + (seed % 97) as f64 * 1e-3,
+            ticks: 20 + cell * 37 % 90,
+            label: format!("wave-{cell}"),
+            broken: Some(cell) == broken,
+        }
+    }
+
+    fn corpus_files(dir: &Path) -> (Vec<u8>, Vec<u8>) {
+        (
+            std::fs::read(dir.join(CORPUS_DATA_FILE)).unwrap(),
+            std::fs::read(dir.join(CORPUS_MANIFEST_FILE)).unwrap(),
+        )
+    }
+
+    #[test]
+    fn recorded_corpora_are_byte_identical_on_any_worker_count() {
+        let sweep = Sweep::new((0..23).collect::<Vec<u64>>()).with_base_seed(17);
+        let build = wave_cells(None);
+        // The reference: frame-recorded serial runs, archived trace by
+        // trace.
+        let dir = temp_dir("recorder-reference");
+        let mut w = TraceCorpusWriter::create(&dir, sweep.config).unwrap();
+        let reference = sweep.run_serial(&build).unwrap();
+        for (i, cell) in sweep.cells().iter().enumerate() {
+            let substrate = build(cell, crate::sweep::cell_seed(17, i));
+            let recorded = Experiment::new(&substrate)
+                .with_config(sweep.config)
+                .with_frame_recording(true)
+                .run()
+                .unwrap();
+            w.append_run(&recorded).unwrap();
+        }
+        w.finish().unwrap();
+        let expected = corpus_files(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(expected.0.len() > 1000);
+        for workers in 1..=4 {
+            let dir = temp_dir(&format!("recorder-{workers}"));
+            let mut w = TraceCorpusWriter::create(&dir, sweep.config).unwrap();
+            let (agg, stats) = sweep
+                .run_aggregate_recorded_on(workers, &build, &mut w)
+                .unwrap();
+            let corpus = w.finish().unwrap();
+            assert_eq!(agg, reference.aggregate(), "{workers} workers");
+            assert_eq!(stats.runs(), 23);
+            assert_eq!(corpus.runs, 23);
+            assert!(corpus_files(&dir) == expected, "{workers} workers");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_failing_cell_archives_every_earlier_cell_and_no_later_one() {
+        let sweep = Sweep::new((0..12).collect::<Vec<u64>>());
+        for workers in 1..=4 {
+            let dir = temp_dir(&format!("recorder-fail-{workers}"));
+            let mut w = TraceCorpusWriter::create(&dir, sweep.config).unwrap();
+            let err = sweep
+                .run_aggregate_recorded_on(workers, wave_cells(Some(7)), &mut w)
+                .unwrap_err();
+            assert!(
+                matches!(&err, CorpusError::Run(_)) && err.to_string().contains("wave-7"),
+                "{workers} workers: {err}"
+            );
+            assert_eq!(w.runs(), 7, "{workers} workers");
+            w.finish().unwrap();
+            let r = TraceCorpusReader::open(&dir).unwrap();
+            let labels: Vec<&str> = (0..r.len()).map(|i| r.meta(i).label.as_str()).collect();
+            let expected: Vec<String> = (0..7).map(|c| format!("wave-{c}")).collect();
+            assert_eq!(labels, expected, "{workers} workers");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -25,6 +25,11 @@
 //!   as decimal text, so `NaN`s, `-0.0`, and every ULP round-trip
 //!   exactly.
 //!
+//! Encoding streams: a [`RunEncoder`] takes one observed frame per tick
+//! into one [`ColumnEncoder`] per signal, so a live run is archived
+//! without materializing its [`FrameTrace`]. Encoding a recorded trace
+//! ([`encode_run`]) feeds the same encoders a whole column at a time.
+//!
 //! Decoders return `Option`: `None` means the bytes are not a valid
 //! encoding (truncated, over budget, or inconsistent). They never
 //! panic on hostile input and never allocate more than the input could
@@ -32,7 +37,7 @@
 
 use crate::frame_batch::FrameBatch;
 use crate::frame_trace::FrameTrace;
-use crate::signal::{SignalKind, SignalTable};
+use crate::signal::{Frame, SignalKind, SignalTable};
 use crate::value::{Sym, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -436,110 +441,340 @@ fn read_value(cur: &mut Cur<'_>, dict: &SymDict) -> Option<Value> {
     }
 }
 
-fn push_presence_bitmap(out: &mut Vec<u8>, col: &[Option<Value>]) {
-    let mut byte = 0u8;
-    for (i, slot) in col.iter().enumerate() {
-        if slot.is_some() {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            out.push(byte);
-            byte = 0;
-        }
-    }
-    if !col.len().is_multiple_of(8) {
-        out.push(byte);
-    }
-}
-
 #[inline]
 fn bit(bitmap: &[u8], i: usize) -> bool {
     bitmap[i / 8] >> (i % 8) & 1 == 1
 }
 
-/// Encodes one signal column (`len` tick samples) with the cheapest
-/// applicable encoding, interning any symbols into `dict`.
-pub fn encode_column(col: &[Option<Value>], dict: &mut SymDict) -> Vec<u8> {
-    let mut out = Vec::new();
-    let n_present = col.iter().filter(|s| s.is_some()).count();
-    if n_present == 0 {
-        out.push(TAG_COL_EMPTY);
-        return out;
+/// Appends bit `i` to a little-endian packed bitmap that holds bits
+/// `0..i`.
+#[inline]
+fn push_bit(bits: &mut Vec<u8>, i: usize, on: bool) {
+    if i.is_multiple_of(8) {
+        bits.push(0);
     }
-    if n_present == col.len() {
-        let first = col[0].expect("all samples present");
-        if col.iter().all(|s| bits_eq(s.expect("present"), first)) {
-            out.push(TAG_COL_CONST);
-            put_value(&mut out, first, dict);
-            return out;
+    if on {
+        *bits.last_mut().expect("a byte holds bit i") |= 1 << (i % 8);
+    }
+}
+
+/// Appends a packed bitmap of `n` set bits.
+fn push_ones(out: &mut Vec<u8>, n: usize) {
+    out.resize(out.len() + n / 8, 0xff);
+    if !n.is_multiple_of(8) {
+        out.push((1u8 << (n % 8)) - 1);
+    }
+}
+
+/// Whether two samples record the same thing: both absent, or both
+/// present and [bitwise equal](bits_eq).
+#[inline]
+fn same_sample(a: Option<Value>, b: Option<Value>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(x), Some(y)) => bits_eq(x, y),
+        _ => false,
+    }
+}
+
+/// Interns `s`, skipping the dictionary lookup when it repeats the
+/// previous symbol (`memo`) — symbol columns hold long runs of one
+/// command.
+fn intern_memo(dict: &mut SymDict, s: Sym, memo: &mut Option<(Sym, u32)>) -> u32 {
+    match *memo {
+        Some((last, id)) if last == s => id,
+        _ => {
+            let id = dict.intern(s.as_str());
+            *memo = Some((s, id));
+            id
         }
     }
-    let present = col.iter().filter_map(|s| *s);
-    let (mut all_bool, mut all_int, mut all_real, mut all_sym) = (true, true, true, true);
-    for v in present.clone() {
+}
+
+/// The sample stream of a column that is neither empty nor constant:
+/// the bytes after its presence bitmap, except that symbols stay raw
+/// [`Sym`]s until the commit interns them.
+#[derive(Debug, Clone)]
+enum Payload {
+    /// Bit-packed values, `n` so far.
+    Bool { bits: Vec<u8>, n: usize },
+    /// Zigzag-delta varints.
+    Int { bytes: Vec<u8>, prev: i64 },
+    /// XOR-delta varints of the `f64` bit patterns.
+    Real { bytes: Vec<u8>, prev: u64 },
+    /// Raw symbols, in tick order.
+    Sym(Vec<Sym>),
+    /// Values of more than one kind, in tick order.
+    Mixed(Vec<Value>),
+}
+
+impl Payload {
+    /// An empty stream for values of `v`'s kind.
+    fn of_kind(v: Value) -> Payload {
         match v {
-            Value::Bool(_) => (all_int, all_real, all_sym) = (false, false, false),
-            Value::Int(_) => (all_bool, all_real, all_sym) = (false, false, false),
-            Value::Real(_) => (all_bool, all_int, all_sym) = (false, false, false),
-            Value::Sym(_) => (all_bool, all_int, all_real) = (false, false, false),
+            Value::Bool(_) => Payload::Bool {
+                bits: Vec::new(),
+                n: 0,
+            },
+            Value::Int(_) => Payload::Int {
+                bytes: Vec::new(),
+                prev: 0,
+            },
+            Value::Real(_) => Payload::Real {
+                bytes: Vec::new(),
+                prev: 0,
+            },
+            Value::Sym(_) => Payload::Sym(Vec::new()),
         }
     }
-    if all_bool {
-        out.push(TAG_COL_BOOL);
-        push_presence_bitmap(&mut out, col);
-        let mut byte = 0u8;
-        let mut n = 0usize;
-        for v in present {
-            if matches!(v, Value::Bool(true)) {
-                byte |= 1 << (n % 8);
+
+    #[inline]
+    fn push(&mut self, v: Value) {
+        match (&mut *self, v) {
+            (Payload::Bool { bits, n }, Value::Bool(b)) => {
+                push_bit(bits, *n, b);
+                *n += 1;
             }
-            n += 1;
-            if n.is_multiple_of(8) {
-                out.push(byte);
-                byte = 0;
+            (Payload::Int { bytes, prev }, Value::Int(i)) => {
+                put_varint(bytes, zigzag(i.wrapping_sub(*prev)));
+                *prev = i;
             }
-        }
-        if !n.is_multiple_of(8) {
-            out.push(byte);
-        }
-    } else if all_int {
-        out.push(TAG_COL_INT);
-        push_presence_bitmap(&mut out, col);
-        let mut prev = 0i64;
-        for v in present {
-            if let Value::Int(i) = v {
-                put_varint(&mut out, zigzag(i.wrapping_sub(prev)));
-                prev = i;
+            (Payload::Real { bytes, prev }, Value::Real(r)) => {
+                put_varint(bytes, r.to_bits() ^ *prev);
+                *prev = r.to_bits();
             }
-        }
-    } else if all_real {
-        out.push(TAG_COL_REAL);
-        push_presence_bitmap(&mut out, col);
-        let mut prev = 0u64;
-        for v in present {
-            if let Value::Real(r) = v {
-                put_varint(&mut out, r.to_bits() ^ prev);
-                prev = r.to_bits();
-            }
-        }
-    } else if all_sym {
-        out.push(TAG_COL_SYM);
-        push_presence_bitmap(&mut out, col);
-        let mut prev = 0i64;
-        for v in present {
-            if let Value::Sym(s) = v {
-                let id = i64::from(dict.intern(s.as_str()));
-                put_varint(&mut out, zigzag(id.wrapping_sub(prev)));
-                prev = id;
-            }
-        }
-    } else {
-        out.push(TAG_COL_MIXED);
-        push_presence_bitmap(&mut out, col);
-        for v in present {
-            put_value(&mut out, v, dict);
+            (Payload::Sym(syms), Value::Sym(s)) => syms.push(s),
+            (Payload::Mixed(values), v) => values.push(v),
+            (_, v) => self.become_mixed(v),
         }
     }
+
+    /// The first value of a second kind: decodes the stream so far
+    /// and continues as a mixed column.
+    #[cold]
+    fn become_mixed(&mut self, v: Value) {
+        let mut values: Vec<Value> = match self {
+            Payload::Bool { bits, n } => (0..*n).map(|i| Value::Bool(bit(bits, i))).collect(),
+            Payload::Int { bytes, .. } => {
+                let mut cur = Cur::new(bytes);
+                let mut prev = 0i64;
+                std::iter::from_fn(|| {
+                    prev = prev.wrapping_add(unzigzag(cur.varint()?));
+                    Some(Value::Int(prev))
+                })
+                .collect()
+            }
+            Payload::Real { bytes, .. } => {
+                let mut cur = Cur::new(bytes);
+                let mut prev = 0u64;
+                std::iter::from_fn(|| {
+                    prev ^= cur.varint()?;
+                    Some(Value::Real(f64::from_bits(prev)))
+                })
+                .collect()
+            }
+            Payload::Sym(syms) => syms.iter().map(|&s| Value::Sym(s)).collect(),
+            Payload::Mixed(values) => std::mem::take(values),
+        };
+        values.push(v);
+        *self = Payload::Mixed(values);
+    }
+
+    fn tag(&self) -> u8 {
+        match self {
+            Payload::Bool { .. } => TAG_COL_BOOL,
+            Payload::Int { .. } => TAG_COL_INT,
+            Payload::Real { .. } => TAG_COL_REAL,
+            Payload::Sym(_) => TAG_COL_SYM,
+            Payload::Mixed(_) => TAG_COL_MIXED,
+        }
+    }
+
+    /// Writes the stream, interning symbols in tick order.
+    fn put(&self, out: &mut Vec<u8>, dict: &mut SymDict) {
+        match self {
+            Payload::Bool { bits, .. } => out.extend_from_slice(bits),
+            Payload::Int { bytes, .. } | Payload::Real { bytes, .. } => {
+                out.extend_from_slice(bytes)
+            }
+            Payload::Sym(syms) => {
+                let (mut prev, mut memo) = (0i64, None);
+                for &s in syms {
+                    let id = i64::from(intern_memo(dict, s, &mut memo));
+                    put_varint(out, zigzag(id.wrapping_sub(prev)));
+                    prev = id;
+                }
+            }
+            Payload::Mixed(values) => {
+                for &v in values {
+                    put_value(out, v, dict);
+                }
+            }
+        }
+    }
+}
+
+/// A column past its constant prefix.
+#[derive(Debug, Clone)]
+struct OpenColumn {
+    /// Presence bits of every sample so far, or `None` while every
+    /// sample has been present (the bitmap is then all ones and is
+    /// only written out at the commit).
+    presence: Option<Vec<u8>>,
+    payload: Payload,
+}
+
+impl OpenColumn {
+    /// Appends sample `t`.
+    #[inline]
+    fn push(&mut self, t: usize, sample: Option<Value>) {
+        match sample {
+            Some(v) => {
+                if let Some(bits) = &mut self.presence {
+                    push_bit(bits, t, true);
+                }
+                self.payload.push(v);
+            }
+            None => {
+                let bits = self.presence.get_or_insert_with(|| {
+                    let mut bits = Vec::new();
+                    push_ones(&mut bits, t);
+                    bits
+                });
+                push_bit(bits, t, false);
+            }
+        }
+    }
+}
+
+/// The streaming encoder of one signal column: takes a column one
+/// sample (or one slice) at a time and holds only its encoded form.
+///
+/// The encoding is the cheapest applicable one for the whole column:
+/// empty (no sample present), constant (every sample present and
+/// bitwise equal, `f64`s compared as bit patterns), else a presence
+/// bitmap followed by bool bits, zigzag-delta ints, XOR-delta reals,
+/// delta'd dictionary ids, or tagged mixed values, by the kinds of the
+/// present samples. Two lazy
+/// states keep common columns cheap: while the column still equals its
+/// first sample it costs one compare per sample, and while every
+/// sample is present no bitmap bit is written. Symbols are interned
+/// only by [`encode_into`](ColumnEncoder::encode_into), so encoding a
+/// run's columns in table order assigns the same dictionary ids
+/// however the samples arrived.
+#[derive(Debug, Clone, Default)]
+pub struct ColumnEncoder {
+    len: usize,
+    /// Sample 0; while `open` is `None` every sample equals it.
+    first: Option<Value>,
+    open: Option<OpenColumn>,
+}
+
+impl ColumnEncoder {
+    /// An encoder holding no samples.
+    pub fn new() -> Self {
+        ColumnEncoder::default()
+    }
+
+    /// Appends the next sample.
+    #[inline]
+    pub fn push(&mut self, sample: Option<Value>) {
+        if let Some(open) = &mut self.open {
+            open.push(self.len, sample);
+        } else if self.len == 0 {
+            self.first = sample;
+        } else if !same_sample(sample, self.first) {
+            self.open_with(sample);
+        }
+        self.len += 1;
+    }
+
+    /// Appends a slice of samples — the block form of
+    /// [`push`](ColumnEncoder::push): a constant prefix is skipped with
+    /// one scan, the rest runs without per-sample state checks.
+    pub fn extend(&mut self, samples: &[Option<Value>]) {
+        let mut rest = samples;
+        if self.open.is_none() {
+            let Some(&head) = rest.first() else { return };
+            if self.len == 0 {
+                self.first = head;
+            }
+            let run = rest
+                .iter()
+                .position(|&s| !same_sample(s, self.first))
+                .unwrap_or(rest.len());
+            self.len += run;
+            rest = &rest[run..];
+            let Some((&head, tail)) = rest.split_first() else {
+                return;
+            };
+            self.open_with(head);
+            self.len += 1;
+            rest = tail;
+        }
+        let open = self.open.as_mut().expect("opened above");
+        for (t, &s) in (self.len..).zip(rest) {
+            open.push(t, s);
+        }
+        self.len += rest.len();
+    }
+
+    /// Ends the constant prefix at sample `self.len`, which differs
+    /// from it: replays the prefix into an open column, then appends
+    /// `sample`.
+    #[cold]
+    fn open_with(&mut self, sample: Option<Value>) {
+        let t = self.len;
+        let mut open = match self.first {
+            None => OpenColumn {
+                presence: Some(vec![0; t.div_ceil(8)]),
+                payload: Payload::of_kind(sample.expect("differs from an absent prefix")),
+            },
+            Some(v) => {
+                let mut payload = Payload::of_kind(v);
+                for _ in 0..t {
+                    payload.push(v);
+                }
+                OpenColumn {
+                    presence: None,
+                    payload,
+                }
+            }
+        };
+        open.push(t, sample);
+        self.open = Some(open);
+    }
+
+    /// Appends the column's encoding to `out`, interning its symbols
+    /// into `dict` in sample order.
+    pub fn encode_into(&self, out: &mut Vec<u8>, dict: &mut SymDict) {
+        let Some(open) = &self.open else {
+            match self.first {
+                None => out.push(TAG_COL_EMPTY),
+                Some(v) => {
+                    out.push(TAG_COL_CONST);
+                    put_value(out, v, dict);
+                }
+            }
+            return;
+        };
+        out.push(open.payload.tag());
+        match &open.presence {
+            Some(bits) => out.extend_from_slice(bits),
+            None => push_ones(out, self.len),
+        }
+        open.payload.put(out, dict);
+    }
+}
+
+/// Encodes one signal column (`len` tick samples) with the cheapest
+/// applicable encoding, interning any symbols into `dict` — a
+/// [`ColumnEncoder`] fed the whole slice.
+pub fn encode_column(col: &[Option<Value>], dict: &mut SymDict) -> Vec<u8> {
+    let mut enc = ColumnEncoder::new();
+    enc.extend(col);
+    let mut out = Vec::new();
+    enc.encode_into(&mut out, dict);
     out
 }
 
@@ -736,24 +971,94 @@ impl<'a> ColumnCursor<'a> {
 
 // --- whole runs --------------------------------------------------------
 
-/// Encodes one recorded run: metadata, then each signal column in table
-/// order, each prefixed by its byte length so readers can slice columns
-/// without scanning them. New symbols are interned into `dict`; the
-/// caller flushes `dict.texts_from(watermark)` as a dictionary block
-/// *before* this run's record.
-pub fn encode_run(trace: &FrameTrace, meta: &RunMeta, dict: &mut SymDict) -> Vec<u8> {
-    debug_assert_eq!(meta.ticks, trace.len() as u64);
-    debug_assert_eq!(meta.dt_millis, trace.tick_millis());
-    let table = trace.table();
-    let mut out = Vec::new();
-    put_meta(&mut out, meta);
-    put_varint(&mut out, table.len() as u64);
-    for id in table.ids() {
-        let body = encode_column(trace.column(id), dict);
-        put_varint(&mut out, body.len() as u64);
-        out.extend_from_slice(&body);
+/// The streaming encoder of one run: one [`ColumnEncoder`] per signal
+/// of the run's table, fed one observed frame per tick, so archiving a
+/// run never materializes its [`FrameTrace`].
+#[derive(Debug, Clone)]
+pub struct RunEncoder {
+    table: Arc<SignalTable>,
+    cols: Vec<ColumnEncoder>,
+    len: usize,
+}
+
+impl RunEncoder {
+    /// An encoder for runs over `table`, holding no ticks.
+    pub fn new(table: &Arc<SignalTable>) -> Self {
+        RunEncoder {
+            table: Arc::clone(table),
+            cols: vec![ColumnEncoder::new(); table.len()],
+            len: 0,
+        }
     }
-    out
+
+    /// An encoder holding a recorded trace, fed column by column.
+    pub fn from_trace(trace: &FrameTrace) -> Self {
+        let mut enc = RunEncoder::new(trace.table());
+        for (id, col) in trace.table().ids().zip(&mut enc.cols) {
+            col.extend(trace.column(id));
+        }
+        enc.len = trace.len();
+        enc
+    }
+
+    /// The table the run's frames are indexed by.
+    pub fn table(&self) -> &Arc<SignalTable> {
+        &self.table
+    }
+
+    /// Ticks taken so far.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no tick was taken yet.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends one tick's observed frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` indexes a different table.
+    #[inline]
+    pub fn push(&mut self, frame: &Frame) {
+        assert!(
+            Arc::ptr_eq(frame.table(), &self.table),
+            "frame and run encoder must share one signal table"
+        );
+        for (col, &slot) in self.cols.iter_mut().zip(&frame.slots) {
+            col.push(slot);
+        }
+        self.len += 1;
+    }
+
+    /// Encodes the run: metadata, then each signal column in table
+    /// order, each prefixed by its byte length so readers can slice
+    /// columns without scanning them. New symbols are interned into
+    /// `dict` column by column; the caller flushes
+    /// `dict.texts_from(watermark)` as a dictionary block *before* this
+    /// run's record.
+    pub fn encode(&self, meta: &RunMeta, dict: &mut SymDict) -> Vec<u8> {
+        debug_assert_eq!(meta.ticks, self.len as u64);
+        let mut out = Vec::new();
+        put_meta(&mut out, meta);
+        put_varint(&mut out, self.cols.len() as u64);
+        let mut body = Vec::new();
+        for col in &self.cols {
+            body.clear();
+            col.encode_into(&mut body, dict);
+            put_varint(&mut out, body.len() as u64);
+            out.extend_from_slice(&body);
+        }
+        out
+    }
+}
+
+/// Encodes one recorded run — [`RunEncoder::encode`] over the trace.
+pub fn encode_run(trace: &FrameTrace, meta: &RunMeta, dict: &mut SymDict) -> Vec<u8> {
+    debug_assert_eq!(meta.dt_millis, trace.tick_millis());
+    RunEncoder::from_trace(trace).encode(meta, dict)
 }
 
 /// A streaming decoder over one encoded run: per tick, writes every
@@ -922,6 +1227,364 @@ mod tests {
             ticks,
             terminated_early: false,
             terminal_event: None,
+        }
+    }
+
+    /// The batch column encoder the streaming [`ColumnEncoder`] must
+    /// reproduce byte for byte: a verbatim copy of the whole-slice
+    /// definition, passes over the finished column.
+    fn batch_encode_column(col: &[Option<Value>], dict: &mut SymDict) -> Vec<u8> {
+        fn push_presence_bitmap(out: &mut Vec<u8>, col: &[Option<Value>]) {
+            let mut byte = 0u8;
+            for (i, slot) in col.iter().enumerate() {
+                if slot.is_some() {
+                    byte |= 1 << (i % 8);
+                }
+                if i % 8 == 7 {
+                    out.push(byte);
+                    byte = 0;
+                }
+            }
+            if !col.len().is_multiple_of(8) {
+                out.push(byte);
+            }
+        }
+        let mut out = Vec::new();
+        let n_present = col.iter().filter(|s| s.is_some()).count();
+        if n_present == 0 {
+            out.push(TAG_COL_EMPTY);
+            return out;
+        }
+        if n_present == col.len() {
+            let first = col[0].expect("all samples present");
+            if col.iter().all(|s| bits_eq(s.expect("present"), first)) {
+                out.push(TAG_COL_CONST);
+                put_value(&mut out, first, dict);
+                return out;
+            }
+        }
+        let present = col.iter().filter_map(|s| *s);
+        let (mut all_bool, mut all_int, mut all_real, mut all_sym) = (true, true, true, true);
+        for v in present.clone() {
+            match v {
+                Value::Bool(_) => (all_int, all_real, all_sym) = (false, false, false),
+                Value::Int(_) => (all_bool, all_real, all_sym) = (false, false, false),
+                Value::Real(_) => (all_bool, all_int, all_sym) = (false, false, false),
+                Value::Sym(_) => (all_bool, all_int, all_real) = (false, false, false),
+            }
+        }
+        if all_bool {
+            out.push(TAG_COL_BOOL);
+            push_presence_bitmap(&mut out, col);
+            let mut byte = 0u8;
+            let mut n = 0usize;
+            for v in present {
+                if matches!(v, Value::Bool(true)) {
+                    byte |= 1 << (n % 8);
+                }
+                n += 1;
+                if n.is_multiple_of(8) {
+                    out.push(byte);
+                    byte = 0;
+                }
+            }
+            if !n.is_multiple_of(8) {
+                out.push(byte);
+            }
+        } else if all_int {
+            out.push(TAG_COL_INT);
+            push_presence_bitmap(&mut out, col);
+            let mut prev = 0i64;
+            for v in present {
+                if let Value::Int(i) = v {
+                    put_varint(&mut out, zigzag(i.wrapping_sub(prev)));
+                    prev = i;
+                }
+            }
+        } else if all_real {
+            out.push(TAG_COL_REAL);
+            push_presence_bitmap(&mut out, col);
+            let mut prev = 0u64;
+            for v in present {
+                if let Value::Real(r) = v {
+                    put_varint(&mut out, r.to_bits() ^ prev);
+                    prev = r.to_bits();
+                }
+            }
+        } else if all_sym {
+            out.push(TAG_COL_SYM);
+            push_presence_bitmap(&mut out, col);
+            let mut prev = 0i64;
+            for v in present {
+                if let Value::Sym(s) = v {
+                    let id = i64::from(dict.intern(s.as_str()));
+                    put_varint(&mut out, zigzag(id.wrapping_sub(prev)));
+                    prev = id;
+                }
+            }
+        } else {
+            out.push(TAG_COL_MIXED);
+            push_presence_bitmap(&mut out, col);
+            for v in present {
+                put_value(&mut out, v, dict);
+            }
+        }
+        out
+    }
+
+    /// A splitmix64 stream for the encoder equivalence cases.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    const KINDS: [SignalKind; 4] = [
+        SignalKind::Bool,
+        SignalKind::Int,
+        SignalKind::Real,
+        SignalKind::Sym,
+    ];
+
+    /// A value of `kind` from a small alphabet, so runs of equal
+    /// samples and repeated symbols are common. Reals include a NaN
+    /// payload, both zeros and an infinity; ints include the extremes.
+    fn value(kind: SignalKind, mix: &mut Mix) -> Value {
+        const REALS: [f64; 7] = [0.0, -0.0, 1.5, -2.25, f64::INFINITY, 1e300, 3.0];
+        const INTS: [i64; 6] = [0, 1, -1, 7, i64::MIN, i64::MAX];
+        const SYMS: [&str; 4] = ["enc-go", "enc-hold", "enc-stop", "enc-idle"];
+        match kind {
+            SignalKind::Bool => Value::Bool(mix.below(2) == 1),
+            SignalKind::Int => Value::Int(INTS[mix.below(INTS.len() as u64) as usize]),
+            SignalKind::Real => match mix.below(8) {
+                7 => Value::Real(f64::from_bits(0x7ff8_dead_beef_0001)),
+                i => Value::Real(REALS[i as usize]),
+            },
+            SignalKind::Sym => Value::sym(SYMS[mix.below(SYMS.len() as u64) as usize]),
+        }
+    }
+
+    /// Encodes `cols` (in order, one shared dictionary) three ways —
+    /// the batch copy, the streaming encoder one sample at a time, and
+    /// the streaming encoder fed slices split at `split` — and asserts
+    /// the bytes and dictionaries agree.
+    fn assert_encoders_agree(cols: &[Vec<Option<Value>>], split: usize) {
+        let (mut batch_dict, mut push_dict, mut block_dict) =
+            (SymDict::new(), SymDict::new(), SymDict::new());
+        for (c, col) in cols.iter().enumerate() {
+            let batch = batch_encode_column(col, &mut batch_dict);
+            let mut pushed = ColumnEncoder::new();
+            for &s in col {
+                pushed.push(s);
+            }
+            let mut blocked = ColumnEncoder::new();
+            let at = split.min(col.len());
+            blocked.extend(&col[..at]);
+            blocked.extend(&[]);
+            blocked.extend(&col[at..]);
+            assert_eq!(pushed.len, col.len());
+            assert_eq!(blocked.len, col.len());
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            pushed.encode_into(&mut a, &mut push_dict);
+            blocked.encode_into(&mut b, &mut block_dict);
+            assert_eq!(a, batch, "column {c} pushed: {col:?}");
+            assert_eq!(b, batch, "column {c} split at {at}: {col:?}");
+            assert_eq!(encode_column(col, &mut SymDict::new()).len(), batch.len());
+        }
+        assert_eq!(push_dict.texts_from(0), batch_dict.texts_from(0));
+        assert_eq!(block_dict.texts_from(0), batch_dict.texts_from(0));
+    }
+
+    #[test]
+    fn streaming_encoder_matches_batch_at_every_length() {
+        let mut mix = Mix(1);
+        for len in 0..300 {
+            let mut cols = Vec::new();
+            for kind in KINDS {
+                // Varying, constant, absent-then-present, late absences.
+                cols.push((0..len).map(|_| Some(value(kind, &mut mix))).collect());
+                let v = value(kind, &mut mix);
+                cols.push(vec![Some(v); len]);
+                cols.push((0..len).map(|t| (t >= len / 2).then_some(v)).collect());
+                let late = len.saturating_sub(1 + len / 7);
+                cols.push(
+                    (0..len)
+                        .map(|t| (t < late || t % 3 == 0).then(|| value(kind, &mut mix)))
+                        .collect(),
+                );
+            }
+            cols.push(vec![None; len]);
+            let split = mix.below(len as u64 + 1) as usize;
+            assert_encoders_agree(&cols, split);
+        }
+    }
+
+    #[test]
+    fn constant_prefix_broken_at_every_position_matches_batch() {
+        let mut mix = Mix(2);
+        for at in 0..17 {
+            for len in [at, at + 1, at + 2, at + 9, 40] {
+                let mut cols = Vec::new();
+                for kind in KINDS {
+                    let v = value(kind, &mut mix);
+                    let breaker = loop {
+                        let w = value(kind, &mut mix);
+                        if !bits_eq(w, v) {
+                            break w;
+                        }
+                    };
+                    let prefix = |t: usize| t < at;
+                    // Broken by another value, by an absence, by a
+                    // value of another kind, and an absent prefix
+                    // broken by a value.
+                    cols.push(
+                        (0..len)
+                            .map(|t| Some(if prefix(t) { v } else { breaker }))
+                            .collect(),
+                    );
+                    cols.push((0..len).map(|t| prefix(t).then_some(v)).collect());
+                    let other = value(KINDS[(kind as usize + 1) % 4], &mut mix);
+                    cols.push(
+                        (0..len)
+                            .map(|t| Some(if t == at { other } else { v }))
+                            .collect(),
+                    );
+                    cols.push((0..len).map(|t| (!prefix(t)).then_some(v)).collect());
+                }
+                for split in [0, at, at + 1, len] {
+                    assert_encoders_agree(&cols, split);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_columns_match_batch_for_every_kind_pair() {
+        let mut mix = Mix(3);
+        for first in KINDS {
+            for second in KINDS {
+                for len in [2, 9, 64, 133] {
+                    for switch in [1, len / 2, len - 1] {
+                        // One kind, then the other, with and without
+                        // gaps — `Sym` then `Real` included.
+                        let col: Vec<Option<Value>> = (0..len)
+                            .map(|t| Some(value(if t < switch { first } else { second }, &mut mix)))
+                            .collect();
+                        let gappy: Vec<Option<Value>> = col
+                            .iter()
+                            .enumerate()
+                            .map(|(t, s)| if t % 5 == 3 { None } else { *s })
+                            .collect();
+                        let shuffled: Vec<Option<Value>> = (0..len)
+                            .map(|_| match mix.below(3) {
+                                0 => None,
+                                1 => Some(value(first, &mut mix)),
+                                _ => Some(value(second, &mut mix)),
+                            })
+                            .collect();
+                        let split = mix.below(len as u64 + 1) as usize;
+                        assert_encoders_agree(&[col, gappy, shuffled], split);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn symbols_are_interned_in_column_order_whatever_the_arrival_order() {
+        // The constant column names its symbol last in time but first
+        // in column order, so it must take dictionary id 0.
+        let (hold, go, stop) = (
+            Value::sym("enc-order-hold"),
+            Value::sym("enc-order-go"),
+            Value::sym("enc-order-stop"),
+        );
+        let cols = vec![
+            vec![Some(hold); 12],
+            (0..12)
+                .map(|t| Some(if t < 6 { go } else { hold }))
+                .collect(),
+            (0..12)
+                .map(|t| Some(if t % 2 == 0 { stop } else { Value::Real(1.0) }))
+                .collect::<Vec<_>>(),
+        ];
+        assert_encoders_agree(&cols, 5);
+        let t = {
+            let mut b = SignalTable::builder();
+            b.sym("a");
+            b.sym("b");
+            b.real("c");
+            b.finish()
+        };
+        let mut run = RunEncoder::new(&t);
+        let mut frame = t.frame();
+        for tick in 0..12 {
+            for (id, col) in t.ids().zip(&cols) {
+                frame.slots[id.index()] = col[tick];
+            }
+            run.push(&frame);
+        }
+        let mut dict = SymDict::new();
+        run.encode(&meta(12), &mut dict);
+        assert_eq!(
+            dict.texts_from(0),
+            ["enc-order-hold", "enc-order-go", "enc-order-stop"]
+        );
+    }
+
+    proptest::proptest! {
+        /// A run encoder fed frame by frame encodes what `encode_run`
+        /// encodes over the recorded trace of the same frames.
+        #[test]
+        fn run_encoder_fed_frames_matches_encode_run(
+            len in 0usize..200,
+            seed in 0u64..1_000_000,
+            absent_pct in 0u64..60,
+        ) {
+            let t = table();
+            let mut mix = Mix(seed);
+            let mut trace = FrameTrace::new(&t, 1);
+            let mut run = RunEncoder::new(&t);
+            let mut frame = t.frame();
+            // Each column holds its value for a random stretch, so
+            // constant prefixes, runs and changes all occur.
+            let mut held: Vec<Option<Value>> = vec![None; t.len()];
+            for _ in 0..len {
+                for id in t.ids() {
+                    if mix.below(4) == 0 {
+                        held[id.index()] = (mix.below(100) >= absent_pct)
+                            .then(|| value(t.kind(id), &mut mix));
+                    }
+                    frame.slots[id.index()] = held[id.index()];
+                }
+                trace.push(&frame);
+                run.push(&frame);
+            }
+            let m = meta(len as u64);
+            let (mut d1, mut d2) = (SymDict::new(), SymDict::new());
+            let streamed = run.encode(&m, &mut d1);
+            proptest::prop_assert_eq!(&streamed, &encode_run(&trace, &m, &mut d2));
+            proptest::prop_assert_eq!(d1.texts_from(0), d2.texts_from(0));
+            let mut d3 = SymDict::new();
+            let mut batch = Vec::new();
+            put_meta(&mut batch, &m);
+            put_varint(&mut batch, t.len() as u64);
+            for id in t.ids() {
+                let body = batch_encode_column(trace.column(id), &mut d3);
+                put_varint(&mut batch, body.len() as u64);
+                batch.extend_from_slice(&body);
+            }
+            proptest::prop_assert_eq!(streamed, batch);
         }
     }
 

@@ -87,7 +87,7 @@ pub mod signal;
 pub mod state;
 pub mod value;
 
-pub use corpus::{RunDecoder, RunMeta, SymDict};
+pub use corpus::{RunDecoder, RunEncoder, RunMeta, SymDict};
 pub use error::{EvalError, ParseError, PropError};
 pub use expr::{CmpOp, Expr, Operand};
 pub use frame_batch::{FrameBatch, LaneMut, LaneRef, SignalRead, SignalWrite};

@@ -108,8 +108,9 @@ pub fn suite_for(
 
 /// Records a scenario × defect grid into a fresh corpus at `dir`,
 /// returning the recording sweep's aggregate and stats plus the
-/// committed corpus totals. Runs serially (the corpus is append-only);
-/// the aggregate is bit-identical to the parallel sweep's.
+/// committed corpus totals. Cells run on every core and are committed
+/// in cell order, so the corpus bytes do not depend on the core count;
+/// the aggregate is bit-identical to the plain sweep's.
 ///
 /// # Errors
 ///

@@ -13,14 +13,16 @@ use esafe_harness::{
 };
 use esafe_vehicle::config::DefectSet;
 use esafe_vehicle::substrate::{VehicleFamily, VehicleSubstrate};
+use std::sync::Arc;
 
 /// One cell of a scenario × defect grid.
 #[derive(Debug, Clone)]
 pub struct GridCell {
     /// Scenario number, 1–10.
     pub scenario: u8,
-    /// The defect configuration's label (e.g. `"thesis (all)"`).
-    pub config: String,
+    /// The defect configuration's label (e.g. `"thesis (all)"`),
+    /// shared by every cell of the configuration.
+    pub config: Arc<str>,
     /// The defect configuration.
     pub defects: DefectSet,
 }
@@ -42,12 +44,16 @@ pub fn ablation_configs() -> Vec<(String, DefectSet)> {
 
 /// The cells of `scenarios` × `configs`, scenario-major.
 pub fn cells(scenarios: &[u8], configs: &[(String, DefectSet)]) -> Vec<GridCell> {
+    let configs: Vec<(Arc<str>, DefectSet)> = configs
+        .iter()
+        .map(|(label, defects)| (Arc::from(label.as_str()), *defects))
+        .collect();
     scenarios
         .iter()
         .flat_map(|&scenario| {
             configs.iter().map(move |(config, defects)| GridCell {
                 scenario,
-                config: config.clone(),
+                config: Arc::clone(config),
                 defects: *defects,
             })
         })
@@ -159,7 +165,7 @@ mod tests {
         let grid = full_grid();
         assert_eq!(grid.len(), 10 * 14);
         assert_eq!(grid[0].scenario, 1);
-        assert_eq!(grid[0].config, "none");
+        assert_eq!(&*grid[0].config, "none");
         assert_eq!(grid[14].scenario, 2);
     }
 

@@ -34,6 +34,7 @@ use esafe_vehicle::config::DefectSet;
 use esafe_vehicle::driver::DriverAction;
 use esafe_vehicle::dynamics::{Scene, SceneObject};
 use esafe_vehicle::substrate::{VehicleFamily, VehicleSubstrate};
+use std::sync::Arc;
 
 use crate::grid::ablation_configs;
 
@@ -53,8 +54,9 @@ pub struct MegaCell {
     pub lead_speed: f64,
     /// Scripted driver throttle demand, 0–1.
     pub throttle: f64,
-    /// The defect configuration's label (e.g. `"thesis (all)"`).
-    pub config: String,
+    /// The defect configuration's label (e.g. `"thesis (all)"`),
+    /// shared by every cell of the configuration.
+    pub config: Arc<str>,
     /// The defect configuration.
     pub defects: DefectSet,
 }
@@ -86,17 +88,21 @@ pub fn mega_cells(
     throttles: &[f64],
     configs: &[(String, DefectSet)],
 ) -> Vec<MegaCell> {
+    let configs: Vec<(Arc<str>, DefectSet)> = configs
+        .iter()
+        .map(|(label, defects)| (Arc::from(label.as_str()), *defects))
+        .collect();
     let mut cells =
         Vec::with_capacity(headways.len() * lead_speeds.len() * throttles.len() * configs.len());
     for &headway_m in headways {
         for &lead_speed in lead_speeds {
             for &throttle in throttles {
-                for (config, defects) in configs {
+                for (config, defects) in &configs {
                     cells.push(MegaCell {
                         headway_m,
                         lead_speed,
                         throttle,
-                        config: config.clone(),
+                        config: Arc::clone(config),
                         defects: *defects,
                     });
                 }
